@@ -513,3 +513,90 @@ func TestServeMetricsUnderHammer(t *testing.T) {
 		}
 	}
 }
+
+// TestServeMetricsSurviveParking: a parked site keeps its instruments,
+// so the locate-latency and update-stage histograms and the publish
+// counter scraped after a park/rehydrate cycle continue from where they
+// were instead of dropping back to zero (which Prometheus would read as
+// a counter reset).
+func TestServeMetricsSurviveParking(t *testing.T) {
+	dataDir := t.TempDir()
+	s := newServer(0)
+	s.fleet = iupdater.NewFleet(iupdater.WithResidentLimit(1))
+	defer s.fleet.Close()
+	var hq *site
+	for i, name := range []string{"hq", "annex"} {
+		st, _, err := buildSite(siteSpec{name: name, env: "office"}, uint64(40+i), dataDir, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.enableMonitor(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.addSite(st); err != nil {
+			t.Fatal(err)
+		}
+		if hq == nil {
+			hq = st
+		}
+	}
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	cx, cy := hq.tb.CellCenter(13)
+	rss := hq.tb.MeasureOnline(cx, cy, time.Hour)
+	locate := func(name string) {
+		t.Helper()
+		if code := postJSON(t, ts.URL+"/sites/"+name+"/locate", locateRequest{RSS: rss}, nil); code != http.StatusOK {
+			t.Fatalf("%s locate status %d", name, code)
+		}
+	}
+	hqSeries := []struct {
+		name   string
+		labels map[string]string
+	}{
+		{"iupdater_locate_latency_seconds_count", map[string]string{"site": "hq"}},
+		{"iupdater_update_duration_seconds_count", map[string]string{"site": "hq", "stage": "reconstruct"}},
+		{"iupdater_update_duration_seconds_count", map[string]string{"site": "hq", "stage": "sample"}},
+		{"iupdater_publish_total", map[string]string{"site": "hq"}},
+	}
+	scrape := func() []float64 {
+		t.Helper()
+		samples, _ := lintExposition(t, scrapeMetrics(t, ts.URL))
+		out := make([]float64, len(hqSeries))
+		for i, ser := range hqSeries {
+			s, ok := findSample(samples, ser.name, ser.labels)
+			if !ok {
+				t.Fatalf("no %s%v sample", ser.name, ser.labels)
+			}
+			out[i] = s.value
+		}
+		return out
+	}
+
+	for i := 0; i < 3; i++ {
+		locate("hq")
+	}
+	if code := postJSON(t, ts.URL+"/sites/hq/update", updateRequest{Days: 10}, nil); code != http.StatusOK {
+		t.Fatalf("update status %d", code)
+	}
+	before := scrape()
+	if before[0] < 3 || before[1] != 1 || before[3] != 1 {
+		t.Fatalf("before parking: %v", before)
+	}
+
+	locate("annex") // the resident limit parks hq
+	if hq.fs.Hydrated() {
+		t.Fatal("hq still resident past the limit")
+	}
+	locate("hq") // rehydrates hq
+	after := scrape()
+	for i, ser := range hqSeries {
+		if after[i] < before[i] {
+			t.Errorf("%s%v went backwards across park/rehydrate: %v -> %v", ser.name, ser.labels, before[i], after[i])
+		}
+	}
+	if after[0] != before[0]+1 {
+		t.Errorf("locate count %v after one more locate, want %v", after[0], before[0]+1)
+	}
+}

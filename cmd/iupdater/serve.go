@@ -117,8 +117,8 @@ func (st *site) snap() *iupdater.Snapshot {
 // deployment's for a writer, the replica's for a follower. The serve
 // handlers observe into it directly because they localize against a
 // pinned snapshot (for version consistency), bypassing the instrumented
-// Deployment.Locate wrappers. Nil while a writer site is parked (its
-// histogram is released with the deployment).
+// Deployment.Locate wrappers. Nil while a writer site is parked (the
+// fleet keeps the histogram and hands it to the rehydrated deployment).
 func (st *site) latency() *obs.Histogram {
 	if st.rep != nil {
 		return st.rep.LocateLatency()
@@ -423,6 +423,28 @@ type locateResponse struct {
 	Positions []positionJSON `json:"positions,omitempty"`
 }
 
+// The physical range of an RSS reading in dBm. Thermal noise sets a
+// floor near -174 dBm/Hz, and no transmitter a receiver can hear
+// radiates above +30 dBm (1 W), so a reading outside these bounds is a
+// client bug, not a measurement. The bound also keeps every squared
+// distance the localizer and the drift monitor compute finite.
+const (
+	minRSSdBm = -200
+	maxRSSdBm = 30
+)
+
+// checkReadings is the one check every /locate measurement passes
+// before it reaches a snapshot or a monitor: each reading must be
+// finite and within [minRSSdBm, maxRSSdBm].
+func checkReadings(rss []float64) error {
+	for i, v := range rss {
+		if !(v >= minRSSdBm && v <= maxRSSdBm) { // false for NaN too
+			return fmt.Errorf("reading %d is %g, outside the physical RSS range [%d, %d] dBm", i, v, minRSSdBm, maxRSSdBm)
+		}
+	}
+	return nil
+}
+
 func (s *server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	st := s.siteFor(w, r)
 	if st == nil {
@@ -436,6 +458,16 @@ func (s *server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	if (req.RSS == nil) == (req.Batch == nil) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("provide exactly one of rss or batch"))
 		return
+	}
+	if err := checkReadings(req.RSS); err != nil {
+		writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("rss: %w", err))
+		return
+	}
+	for k, rss := range req.Batch {
+		if err := checkReadings(rss); err != nil {
+			writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("batch measurement %d: %w", k, err))
+			return
+		}
 	}
 	// Pin one snapshot so the reported version matches the database every
 	// estimate in the response was computed against. A writer site
@@ -1134,11 +1166,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw := obs.NewWriter(&buf)
 	site := func(name string) obs.Label { return obs.Label{Name: "site", Value: name} }
 
-	mw.Family("iupdater_locate_latency_seconds", "histogram", "End-to-end locate latency in seconds, snapshot load included.")
+	mw.Family("iupdater_locate_latency_seconds", "histogram", "Time in seconds spent in Snapshot.Locate or LocateBatch per request; excludes decode, hydrate, monitor and encode.")
 	for _, sum := range sums {
-		// A parked site's histogram is released with its deployment, and a
-		// site the fleet knows but the router no longer does (removal
-		// racing the scrape) simply has no sample — scrapes never
+		// A parked site has no sample until its next query rehydrates it
+		// (the fleet keeps the histogram, so the count then continues),
+		// and a site the fleet knows but the router no longer does
+		// (removal racing the scrape) has none either — scrapes never
 		// rehydrate.
 		if st := s.site(sum.Name); st != nil {
 			if lat := st.latency(); lat != nil {

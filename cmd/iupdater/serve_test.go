@@ -461,6 +461,46 @@ func TestServeDriftEndpointAndMonitorFeed(t *testing.T) {
 	}
 }
 
+// TestServeLocateRejectsUnphysicalReadings: a reading of 1e200 dBm
+// used to pass the localizer and then panic the monitored site's drift
+// monitor, so the client saw EOF. Every /locate measurement now passes
+// one range check and an out-of-range reading is a 422 that reaches
+// neither the localizer nor the monitor.
+func TestServeLocateRejectsUnphysicalReadings(t *testing.T) {
+	st := newOfficeSite(t, "default", 1)
+	if err := st.enableMonitor(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.monitor().Close()
+	s := newServer(0)
+	if err := s.addSite(st); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	cx, cy := st.tb.CellCenter(10)
+	rss := st.tb.MeasureOnline(cx, cy, time.Hour)
+	for _, bad := range []float64{1e200, -1e200, 31, -201} {
+		q := append([]float64(nil), rss...)
+		q[3] = bad
+		if code := postJSON(t, ts.URL+"/locate", locateRequest{RSS: q}, nil); code != http.StatusUnprocessableEntity {
+			t.Errorf("rss reading %g: status %d, want 422", bad, code)
+		}
+		if code := postJSON(t, ts.URL+"/locate", locateRequest{Batch: [][]float64{rss, q}}, nil); code != http.StatusUnprocessableEntity {
+			t.Errorf("batch reading %g: status %d, want 422", bad, code)
+		}
+	}
+	edge := append([]float64(nil), rss...)
+	edge[0], edge[1] = maxRSSdBm, minRSSdBm
+	if code := postJSON(t, ts.URL+"/locate", locateRequest{Batch: [][]float64{rss, edge}}, nil); code != http.StatusOK {
+		t.Fatalf("readings at the range bounds: status %d, want 200", code)
+	}
+	if got := st.monitor().Stats().Queries; got != 2 {
+		t.Errorf("monitor observed %d queries, want 2 (rejected requests must not reach it)", got)
+	}
+}
+
 func TestServeGracefulShutdown(t *testing.T) {
 	st := newOfficeSite(t, "default", 1)
 	if err := st.enableMonitor(); err != nil {

@@ -338,6 +338,29 @@ type Deployment struct {
 
 	snap atomic.Pointer[Snapshot]
 
+	instruments
+
+	// pubMu guards pubTraces, the bounded version -> publish-trace-ID
+	// map that lets /records hand followers the trace that produced the
+	// record they are applying.
+	pubMu     sync.Mutex
+	pubTraces map[uint64]trace.ID
+
+	// mu serializes the write path and guards updater, which holds the
+	// reference locations and correlation matrix of the latest Refresh.
+	// The pointed-to Updater is never mutated, only replaced.
+	mu      sync.Mutex
+	updater *core.Updater
+
+	subMu  sync.Mutex
+	subs   map[uint64]chan *Snapshot
+	nextID uint64
+}
+
+// instruments are a Deployment's cumulative metrics. They are shared
+// pointers, so a fleet that parks a site can hand them to the
+// deployment that rehydrates it and the counters keep growing.
+type instruments struct {
 	// lat is the cumulative locate-latency histogram (seconds) across
 	// every query path and snapshot version; the serve layer labels and
 	// exposes it on /metrics.
@@ -349,24 +372,42 @@ type Deployment struct {
 	// cannot disagree about where update time went.
 	updLat map[string]*obs.Histogram
 
-	// publishes counts snapshots published by this deployment (the
-	// initial install is not a publish).
-	publishes obs.Counter
+	// publishes counts snapshots published (the initial install is not
+	// a publish).
+	publishes *obs.Counter
+}
 
-	// pubMu guards pubTraces, the bounded version -> publish-trace-ID
-	// map that lets /records hand followers the trace that produced the
-	// record they are applying.
-	pubMu     sync.Mutex
-	pubTraces map[uint64]trace.ID
+func newInstruments() instruments {
+	updLat := make(map[string]*obs.Histogram, 4)
+	for _, st := range UpdateStages() {
+		updLat[st] = obs.NewHistogram(obs.DefLatencyBuckets...)
+	}
+	return instruments{
+		lat:       obs.NewHistogram(obs.DefLatencyBuckets...),
+		updLat:    updLat,
+		publishes: new(obs.Counter),
+	}
+}
 
-	// mu serializes the write path and guards updater, which holds the
-	// reference locations and correlation matrix of the latest Refresh.
-	mu      sync.Mutex
+// carryover is what a parked site keeps of its Deployment: the learned
+// correlation state (the MIC reference locations and the LRR matrix
+// Z) and the instruments. A rehydrated Deployment that adopts it never
+// re-learns the correlation from a reconstructed snapshot, so its
+// updates are bit-identical to those of a site that was never parked.
+// Sharing the updater is safe because a Deployment never mutates a
+// core.Updater: Install, Rollback and Refresh swap the pointer.
+type carryover struct {
 	updater *core.Updater
+	instruments
+}
 
-	subMu  sync.Mutex
-	subs   map[uint64]chan *Snapshot
-	nextID uint64
+// carryover returns d's correlation state and instruments. It takes
+// the write lock, so an in-flight Update, Install or Rollback finishes
+// first.
+func (d *Deployment) carryover() carryover {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return carryover{updater: d.updater, instruments: d.instruments}
 }
 
 // Update-pipeline stage labels, in pipeline order: reference-point
@@ -384,14 +425,6 @@ const (
 // UpdateStages returns the update-pipeline stage labels in order.
 func UpdateStages() []string {
 	return []string{StageSample, StageReconstruct, StagePersist, StageSwap}
-}
-
-func newUpdateStageHists() map[string]*obs.Histogram {
-	m := make(map[string]*obs.Histogram, 4)
-	for _, st := range UpdateStages() {
-		m[st] = obs.NewHistogram(obs.DefLatencyBuckets...)
-	}
-	return m
 }
 
 // UpdateStageLatency returns the latency histogram (seconds) for one
@@ -450,12 +483,11 @@ func NewDeployment(fingerprints Matrix, g Geometry, opts ...Option) (*Deployment
 		return nil, fmt.Errorf("iupdater: matrix is %dx%d, want %dx%d", r, c, g.Links, grid.NumCells())
 	}
 	d := &Deployment{
-		geo:    g,
-		grid:   grid,
-		cfg:    cfg,
-		subs:   make(map[uint64]chan *Snapshot),
-		lat:    obs.NewHistogram(obs.DefLatencyBuckets...),
-		updLat: newUpdateStageHists(),
+		geo:         g,
+		grid:        grid,
+		cfg:         cfg,
+		subs:        make(map[uint64]chan *Snapshot),
+		instruments: newInstruments(),
 	}
 	// A store that already holds history (a previous deployment life,
 	// e.g. before a fresh full survey) keeps the version line monotonic:
@@ -504,12 +536,11 @@ func newDeploymentAt(fingerprints Matrix, g Geometry, version uint64, opts ...Op
 		return nil, fmt.Errorf("iupdater: matrix is %dx%d, want %dx%d", r, c, g.Links, grid.NumCells())
 	}
 	d := &Deployment{
-		geo:    g,
-		grid:   grid,
-		cfg:    cfg,
-		subs:   make(map[uint64]chan *Snapshot),
-		lat:    obs.NewHistogram(obs.DefLatencyBuckets...),
-		updLat: newUpdateStageHists(),
+		geo:         g,
+		grid:        grid,
+		cfg:         cfg,
+		subs:        make(map[uint64]chan *Snapshot),
+		instruments: newInstruments(),
 	}
 	snap := newSnapshot(version, fingerprints.Clone(), grid, cfg.search)
 	if cfg.store != nil {
@@ -532,20 +563,28 @@ func newDeploymentAt(fingerprints Matrix, g Geometry, version uint64, opts ...Op
 // attached — subsequent publishes keep appending to it. Options are
 // applied as in NewDeployment (a WithStore option is unnecessary and
 // ignored in favor of st).
+//
+// The store holds fingerprints, not the learned correlation, so the
+// first ReferenceLocations or Update after a warm start re-learns it
+// from the latest stored snapshot. A site parked by a Fleet's resident
+// limit is different: it keeps its correlation state and instruments
+// in memory and rehydrates with both.
 func OpenDeployment(st *Store, opts ...Option) (*Deployment, error) {
 	var cfg config
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return openDeploymentCfg(st, cfg)
+	return openDeploymentCfg(st, cfg, nil)
 }
 
 // openDeploymentCfg is OpenDeployment with the option set already
 // resolved into a config value. The fleet's snapshot LRU rehydrates
 // parked sites through it with the exact config their deployment was
 // built with, so a re-materialized site serves under identical search
-// tiers, workers and tracer wiring.
-func openDeploymentCfg(st *Store, cfg config) (*Deployment, error) {
+// tiers, workers and tracer wiring, and passes the parked deployment's
+// carryover so the correlation state and instruments continue. A nil
+// carry starts both fresh.
+func openDeploymentCfg(st *Store, cfg config, carry *carryover) (*Deployment, error) {
 	if st == nil {
 		return nil, fmt.Errorf("iupdater: OpenDeployment: nil store")
 	}
@@ -559,12 +598,15 @@ func openDeploymentCfg(st *Store, cfg config) (*Deployment, error) {
 	}
 	grid := g.grid()
 	d := &Deployment{
-		geo:    g,
-		grid:   grid,
-		cfg:    cfg,
-		subs:   make(map[uint64]chan *Snapshot),
-		lat:    obs.NewHistogram(obs.DefLatencyBuckets...),
-		updLat: newUpdateStageHists(),
+		geo:  g,
+		grid: grid,
+		cfg:  cfg,
+		subs: make(map[uint64]chan *Snapshot),
+	}
+	if carry != nil {
+		d.updater, d.instruments = carry.updater, carry.instruments
+	} else {
+		d.instruments = newInstruments()
 	}
 	// fp was decoded into fresh storage, so no defensive clone is needed.
 	d.snap.Store(newSnapshot(version, fp, grid, cfg.search))

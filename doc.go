@@ -178,7 +178,16 @@
 // query re-materializes it from the record log via the usual
 // delta-chain resolution, bit-identical at the same version (the
 // park-to-serve latency is exported as a histogram, see
-// Observability). Site.Hydrate is the query-path accessor: on a
+// Observability). A parked site also keeps, in memory, the correlation
+// state its deployment learned (the MIC reference locations and the
+// LRR matrix Z, about the size of one fingerprint matrix) and its
+// instruments: the rehydrated deployment updates without re-learning
+// the correlation, publishes exactly what a never-parked site would,
+// and its locate and update histograms and publish counter continue
+// instead of restarting at zero. A process warm restart (OpenDeployment)
+// is different: the store holds fingerprints only, so the first update
+// after a restart re-learns the correlation from the latest stored
+// snapshot. Site.Hydrate is the query-path accessor: on a
 // resident site it is one atomic load plus an LRU touch —
 // lock-free, allocation-free — and only a parked site pays the
 // rehydration. Sites that cannot be restored are never parked:
@@ -272,7 +281,7 @@
 // cmd/iupdater serve aggregates every site into one GET /metrics; each
 // sample carries a site label, so one scrape covers the whole fleet:
 //
-//	iupdater_locate_latency_seconds        histogram {site}       end-to-end locate latency
+//	iupdater_locate_latency_seconds        histogram {site}       snapshot solve time (Locate/LocateBatch only)
 //	iupdater_snapshot_version              gauge     {site}       serving snapshot version
 //	iupdater_search_queries_total          counter   {site,tier}  candidate searches answered
 //	iupdater_search_column_evals_total     counter   {site,tier}  full column distance evaluations

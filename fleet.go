@@ -93,6 +93,10 @@ type Site struct {
 	// evicting another site (see Fleet.enforceLimit).
 	hydMu   sync.Mutex
 	removed bool
+	// parked holds, while the site is parked, what its deployment
+	// learned and measured: the correlation state and instruments that
+	// the next rehydration hands on. Guarded by hydMu.
+	parked *carryover
 
 	// Immutable after AddSite.
 	store      *Store
@@ -160,6 +164,9 @@ func (s *Site) touch() {
 // and the monitor (if a factory was provided) reconstructed — it
 // restores its calibrated baseline from the store's state blob, so
 // drift tracking survives parking the same way it survives a restart.
+// The new deployment adopts the correlation state and instruments the
+// parked one left behind, so updates never re-learn the correlation
+// and counters never go backwards.
 func (s *Site) rehydrate() (*Deployment, *Monitor, error) {
 	s.hydMu.Lock()
 	if l := s.live.Load(); l != nil {
@@ -177,7 +184,7 @@ func (s *Site) rehydrate() (*Deployment, *Monitor, error) {
 		return nil, nil, fmt.Errorf("iupdater: site %q is a replica (serve through Replica)", s.name)
 	}
 	start := time.Now()
-	dep, err := openDeploymentCfg(s.store, s.depCfg)
+	dep, err := openDeploymentCfg(s.store, s.depCfg, s.parked)
 	if err != nil {
 		s.hydMu.Unlock()
 		return nil, nil, fmt.Errorf("iupdater: rehydrating site %q: %w", s.name, err)
@@ -190,6 +197,7 @@ func (s *Site) rehydrate() (*Deployment, *Monitor, error) {
 			return nil, nil, fmt.Errorf("iupdater: rehydrating site %q monitor: %w", s.name, err)
 		}
 	}
+	s.parked = nil
 	l := &siteLive{dep: dep, mon: mon}
 	s.live.Store(l)
 	s.touch()
@@ -207,9 +215,11 @@ func (s *Site) rehydrate() (*Deployment, *Monitor, error) {
 // park releases the site's materialized half: the monitor is closed
 // first (synchronously waiting out in-flight auto-updates and
 // persisting its calibrated baseline to the store), then the live
-// pointer swaps to nil. The store stays open — that is the point —
-// and queries pinned to the old snapshot finish against it untouched.
-// Reports whether anything was released.
+// pointer swaps to nil and the deployment's correlation state and
+// instruments are kept for the next rehydration (read under its write
+// lock, so an in-flight update finishes first). The store stays open —
+// that is the point — and queries pinned to the old snapshot finish
+// against it untouched. Reports whether anything was released.
 func (s *Site) park() bool {
 	s.hydMu.Lock()
 	defer s.hydMu.Unlock()
@@ -224,6 +234,8 @@ func (s *Site) park() bool {
 		l.mon.Close()
 	}
 	s.live.Store(nil)
+	c := l.dep.carryover()
+	s.parked = &c
 	return true
 }
 

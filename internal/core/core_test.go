@@ -345,8 +345,11 @@ func TestUpdaterRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := up.Refresh(updated); err != nil {
-		t.Fatalf("Refresh: %v", err)
+	// Fig 10's feedback loop: re-learn the correlation on the updated
+	// matrix.
+	up, err = NewUpdater(updated, up.cfg)
+	if err != nil {
+		t.Fatalf("re-learning on the updated matrix: %v", err)
 	}
 	if got := len(up.ReferenceLocations()); got != 8 {
 		t.Errorf("reference count after refresh = %d", got)

@@ -115,15 +115,3 @@ func (u *Updater) Update(xb *mat.Dense, mask fingerprint.Mask, xr *mat.Dense, t 
 	}
 	return fingerprint.New(res.X, t), res, nil
 }
-
-// Refresh re-runs correlation acquisition on a newly reconstructed (or
-// freshly surveyed) matrix so subsequent updates track the latest
-// database state, as Fig 10's feedback loop prescribes.
-func (u *Updater) Refresh(latest fingerprint.Matrix) error {
-	nu, err := NewUpdater(latest, u.cfg)
-	if err != nil {
-		return err
-	}
-	*u = *nu
-	return nil
-}

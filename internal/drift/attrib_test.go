@@ -11,8 +11,14 @@ func TestResidualAttributedMatchesResidual(t *testing.T) {
 	perLink := make([]float64, 4)
 	y := append([]float64(nil), toyCols[0]...)
 	y[2] += 3
-	plain := r.Residual(y, scratch)
-	attr := r.ResidualAttributed(y, scratch, perLink)
+	plain, err := r.Residual(y, scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attr, err := r.ResidualAttributed(y, scratch, perLink)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if plain != attr {
 		t.Fatalf("attributed residual %g != plain %g", attr, plain)
 	}

@@ -1,9 +1,12 @@
 package drift
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+
+	"iupdater/internal/loc"
 )
 
 // toy fingerprint matrix: 4 links, 3 locations, distinct column shapes.
@@ -21,8 +24,8 @@ func TestResidualExactMatchIsZero(t *testing.T) {
 	r := toyResidualizer()
 	scratch := make([]float64, 4)
 	for j, col := range toyCols {
-		if got := r.Residual(col, scratch); got > 1e-12 {
-			t.Errorf("column %d: residual %g, want 0", j, got)
+		if got, err := r.Residual(col, scratch); err != nil || got > 1e-12 {
+			t.Errorf("column %d: residual %g (%v), want 0", j, got, err)
 		}
 	}
 }
@@ -36,8 +39,8 @@ func TestResidualIgnoresCommonMode(t *testing.T) {
 	for i, v := range toyCols[1] {
 		y[i] = v + 7.5
 	}
-	if got := r.Residual(y, scratch); got > 1e-12 {
-		t.Errorf("common-mode offset: residual %g, want 0", got)
+	if got, err := r.Residual(y, scratch); err != nil || got > 1e-12 {
+		t.Errorf("common-mode offset: residual %g (%v), want 0", got, err)
 	}
 }
 
@@ -52,13 +55,37 @@ func TestResidualBestMatch(t *testing.T) {
 	y[0] += delta
 	m := 4.0
 	want := math.Sqrt(delta * delta * (1 - 1/m) / m)
-	if got := r.Residual(y, scratch); math.Abs(got-want) > 1e-12 {
-		t.Errorf("one-link deviation: residual %g, want %g", got, want)
+	if got, err := r.Residual(y, scratch); err != nil || math.Abs(got-want) > 1e-12 {
+		t.Errorf("one-link deviation: residual %g (%v), want %g", got, err, want)
 	}
 	// The best match must still be the true column: a residual against
 	// the other columns would be far larger.
-	if got := r.Residual(y, scratch); got > 3 {
+	if got, _ := r.Residual(y, scratch); got > 3 {
 		t.Errorf("residual %g suggests wrong best-match column", got)
+	}
+}
+
+// TestResidualNoCandidate: a reading that is NaN, infinite or so large
+// that every squared distance overflows has no best-match column. The
+// residual must say so instead of indexing column -1.
+func TestResidualNoCandidate(t *testing.T) {
+	r := toyResidualizer()
+	scratch := make([]float64, 4)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200} {
+		y := append([]float64(nil), toyCols[1]...)
+		y[2] = bad
+		if _, err := r.Residual(y, scratch); !errors.Is(err, loc.ErrNoCandidate) {
+			t.Errorf("reading %g: Residual error %v, want loc.ErrNoCandidate", bad, err)
+		}
+		perLink := []float64{-1, -1, -1, -1}
+		if _, err := r.ResidualAttributed(y, scratch, perLink); !errors.Is(err, loc.ErrNoCandidate) {
+			t.Errorf("reading %g: ResidualAttributed error %v, want loc.ErrNoCandidate", bad, err)
+		}
+		for i, v := range perLink {
+			if v != -1 {
+				t.Errorf("reading %g: perLink[%d] written (%g) without a candidate", bad, i, v)
+			}
+		}
 	}
 }
 

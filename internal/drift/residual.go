@@ -67,8 +67,10 @@ func (r *Residualizer) Links() int { return r.m }
 // Residual returns the staleness residual for one online measurement y:
 // the RMS distance (dB per link) between the centered query and the
 // nearest centered fingerprint column. scratch must have length >=
-// Links() and is overwritten; no allocation is performed.
-func (r *Residualizer) Residual(y, scratch []float64) float64 {
+// Links() and is overwritten; no allocation is performed. The error is
+// loc.ErrNoCandidate when y has no column at a finite distance (a NaN,
+// infinite or overflowing reading).
+func (r *Residualizer) Residual(y, scratch []float64) (float64, error) {
 	m := r.m
 	var mean float64
 	for _, v := range y[:m] {
@@ -79,16 +81,20 @@ func (r *Residualizer) Residual(y, scratch []float64) float64 {
 	for i, v := range y[:m] {
 		yc[i] = v - mean
 	}
-	_, best := r.ix.NearestCentered(yc)
-	return math.Sqrt(best / float64(m))
+	_, best, ok := r.ix.NearestCentered(yc)
+	if !ok {
+		return 0, loc.ErrNoCandidate
+	}
+	return math.Sqrt(best / float64(m)), nil
 }
 
 // ResidualAttributed is Residual plus per-link attribution: perLink[i]
 // receives the absolute shape error |yc[i] - col[i]| (dB) between the
 // centered query and its best-matching centered fingerprint column at
 // link i — the per-link terms the RMS residual collapses. perLink must
-// have length >= Links(); no allocation is performed.
-func (r *Residualizer) ResidualAttributed(y, scratch, perLink []float64) float64 {
+// have length >= Links(); no allocation is performed. The error is as
+// in Residual, and perLink is then left untouched.
+func (r *Residualizer) ResidualAttributed(y, scratch, perLink []float64) (float64, error) {
 	m := r.m
 	var mean float64
 	for _, v := range y[:m] {
@@ -99,10 +105,13 @@ func (r *Residualizer) ResidualAttributed(y, scratch, perLink []float64) float64
 	for i, v := range y[:m] {
 		yc[i] = v - mean
 	}
-	bestJ, best := r.ix.NearestCentered(yc)
+	bestJ, best, ok := r.ix.NearestCentered(yc)
+	if !ok {
+		return 0, loc.ErrNoCandidate
+	}
 	col := r.ix.CenteredCol(bestJ)
 	for i := range yc {
 		perLink[i] = math.Abs(yc[i] - col[i])
 	}
-	return math.Sqrt(best / float64(m))
+	return math.Sqrt(best / float64(m)), nil
 }

@@ -1,6 +1,7 @@
 package loc
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -354,6 +355,12 @@ func growI(v []int, n int) []int {
 	return v[:n]
 }
 
+// ErrNoCandidate reports a nearest-column search with no candidate: no
+// fingerprint column lies at a finite distance from the measurement,
+// because a reading is NaN or infinite, or so large that the squared
+// distances overflow.
+var ErrNoCandidate = errors.New("loc: no fingerprint column within a finite distance of the measurement")
+
 // pruneSlack and corrSlack back every pruning comparison off by a tiny
 // relative margin: the bounds hold exactly over the reals, and the
 // slack absorbs the few-ulp rounding of their float evaluation so it
@@ -423,9 +430,12 @@ func sortByKey(order []int, key []float64, desc bool) {
 
 // nearest returns the column of sp minimizing the squared Euclidean
 // distance to q, with ties resolved to the lowest column index, plus
-// that squared distance. Exact under SearchExact and SearchPruned;
-// under SearchSharded only the Fanout nearest shards are searched.
-func (ix *Index) nearest(sp *space, q []float64, mode SearchMode) (int, float64) {
+// that squared distance. ok is false when no column lies at a finite
+// distance — a query with a non-finite reading, or one so large that
+// the squared distances overflow — and the column is then meaningless.
+// Exact under SearchExact and SearchPruned; under SearchSharded only
+// the Fanout nearest shards are searched.
+func (ix *Index) nearest(sp *space, q []float64, mode SearchMode) (j int, d float64, ok bool) {
 	best, bestJ := math.Inf(1), -1
 	var ce, se uint64
 	if mode == SearchExact || len(ix.shards) <= 1 {
@@ -476,7 +486,7 @@ func (ix *Index) nearest(sp *space, q []float64, mode SearchMode) (int, float64)
 	if se > 0 {
 		ix.shardEvals.Add(se)
 	}
-	return bestJ, best
+	return bestJ, best, bestJ >= 0
 }
 
 // topK fills outJ/outD (length >= k) with the k columns of sp nearest
@@ -614,8 +624,9 @@ func siftDown(hJ []int, hD []float64, i int) {
 }
 
 // NearestRaw returns the raw fingerprint column nearest to y and the
-// squared Euclidean distance to it.
-func (ix *Index) NearestRaw(y []float64) (int, float64) {
+// squared Euclidean distance to it; ok is false when there is no
+// candidate (see nearest).
+func (ix *Index) NearestRaw(y []float64) (j int, d float64, ok bool) {
 	return ix.nearest(&ix.raw, y, ix.cfg.Mode)
 }
 
@@ -627,12 +638,13 @@ func (ix *Index) TopKRaw(y []float64, k int, outJ []int, outD []float64) int {
 }
 
 // NearestCentered returns the mean-centered column nearest to the
-// already-centered query yc and the squared distance to it. The drift
+// already-centered query yc and the squared distance to it; ok is
+// false when there is no candidate (see nearest). The drift
 // residualizer's best-match search is exactly this call — and because
 // change detectors are calibrated against the true residual, it never
 // uses the approximate sharded tier: a sharded index answers this query
 // through the (exact) pruned tier instead.
-func (ix *Index) NearestCentered(yc []float64) (int, float64) {
+func (ix *Index) NearestCentered(yc []float64) (j int, d float64, ok bool) {
 	mode := ix.cfg.Mode
 	if mode == SearchSharded {
 		mode = SearchPruned

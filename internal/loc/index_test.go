@@ -1,6 +1,7 @@
 package loc
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,9 +54,9 @@ func TestIndexPrunedBitIdenticalToExhaustive(t *testing.T) {
 			for i := range y {
 				y[i] = base[i] + 0.3*rng.NormFloat64()
 			}
-			jP, dP := ixP.NearestRaw(y)
-			jE, dE := ixE.NearestRaw(y)
-			if jP != jE || dP != dE {
+			jP, dP, okP := ixP.NearestRaw(y)
+			jE, dE, okE := ixE.NearestRaw(y)
+			if jP != jE || dP != dE || !okP || !okE {
 				return false
 			}
 			k := 1 + rng.Intn(6)
@@ -80,9 +81,9 @@ func TestIndexPrunedBitIdenticalToExhaustive(t *testing.T) {
 			for i, v := range y {
 				yc[i] = v - mean
 			}
-			jP, dP = ixP.NearestCentered(yc)
-			jE, dE = ixE.NearestCentered(yc)
-			if jP != jE || dP != dE {
+			jP, dP, okP = ixP.NearestCentered(yc)
+			jE, dE, okE = ixE.NearestCentered(yc)
+			if jP != jE || dP != dE || !okP || !okE {
 				return false
 			}
 			excl := []int{rng.Intn(n)}
@@ -100,6 +101,32 @@ func TestIndexPrunedBitIdenticalToExhaustive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIndexNearestNoCandidate: when every squared distance is NaN or
+// +Inf (a NaN or infinite reading, or one whose square overflows) no
+// column is nearest. Every tier says so instead of returning column -1,
+// and the nearest-column matchers turn it into ErrNoCandidate.
+func TestIndexNearestNoCandidate(t *testing.T) {
+	x := mat.RandomNormal(4, 24, rand.New(rand.NewSource(3)))
+	for _, mode := range []SearchMode{SearchExact, SearchPruned, SearchSharded} {
+		ix := NewIndex(x, 6, IndexConfig{Mode: mode, BlockSize: 2})
+		for _, bad := range []float64{math.NaN(), math.Inf(1), 1e200} {
+			y := []float64{0.5, -0.2, bad, 0.1}
+			if j, _, ok := ix.NearestRaw(y); ok {
+				t.Errorf("%v, reading %g: NearestRaw found column %d", mode, bad, j)
+			}
+			if j, _, ok := ix.NearestCentered(y); ok {
+				t.Errorf("%v, reading %g: NearestCentered found column %d", mode, bad, j)
+			}
+			if _, err := NewNearestColumnIndex(ix).Locate(y); !errors.Is(err, ErrNoCandidate) {
+				t.Errorf("%v, reading %g: NearestColumn.Locate error %v", mode, bad, err)
+			}
+			if _, err := NewKNNIndex(ix, 3).Locate(y); !errors.Is(err, ErrNoCandidate) {
+				t.Errorf("%v, reading %g: KNN.Locate error %v", mode, bad, err)
+			}
+		}
 	}
 }
 
@@ -125,8 +152,8 @@ func TestIndexPrunedTieBreaksMatchExhaustive(t *testing.T) {
 	}
 	ixP := NewIndex(x, 4, IndexConfig{Mode: SearchPruned, BlockSize: 2})
 	ixE := NewIndex(x, 4, IndexConfig{Mode: SearchExact})
-	jP, dP := ixP.NearestRaw(proto)
-	jE, dE := ixE.NearestRaw(proto)
+	jP, dP, _ := ixP.NearestRaw(proto)
+	jE, dE, _ := ixE.NearestRaw(proto)
 	if jP != 3 || jE != 3 || dP != dE {
 		t.Errorf("tie broke to %d/%d (dist %v/%v), want column 3 in both tiers", jP, jE, dP, dE)
 	}
@@ -221,8 +248,8 @@ func TestShardedEvalReductionLargeGrid(t *testing.T) {
 		for i := range y {
 			y[i] = base[i] + 0.3*rng.NormFloat64()
 		}
-		jE, _ := exact.NearestRaw(y)
-		jP, _ := pruned.NearestRaw(y)
+		jE, _, _ := exact.NearestRaw(y)
+		jP, _, _ := pruned.NearestRaw(y)
 		if jP != jE {
 			t.Fatalf("query %d: pruned nearest %d, exhaustive %d", q, jP, jE)
 		}

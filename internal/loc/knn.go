@@ -35,7 +35,10 @@ func (nc *NearestColumn) Locate(y []float64) (int, error) {
 	if m, _ := nc.ix.Dims(); len(y) != m {
 		return 0, fmt.Errorf("loc: measurement has %d links, fingerprints have %d", len(y), m)
 	}
-	j, _ := nc.ix.NearestRaw(y)
+	j, _, ok := nc.ix.NearestRaw(y)
+	if !ok {
+		return 0, ErrNoCandidate
+	}
 	return j, nil
 }
 
@@ -113,6 +116,9 @@ func (kn *KNN) Locate(y []float64) (int, error) {
 	if len(y) != m {
 		return 0, fmt.Errorf("loc: measurement has %d links, fingerprints have %d", len(y), m)
 	}
-	j, _ := kn.ix.NearestRaw(y)
+	j, _, ok := kn.ix.NearestRaw(y)
+	if !ok {
+		return 0, ErrNoCandidate
+	}
 	return j, nil
 }

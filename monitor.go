@@ -449,8 +449,11 @@ func (m *Monitor) saveStateLocked() {
 }
 
 // Observe feeds one live online RSS vector (one reading per link) to the
-// monitor. It returns an error only for malformed input or a closed
+// monitor. It returns an error only for malformed input — a wrong link
+// count, or a reading that is NaN, infinite or so large that it matches
+// no fingerprint column (loc.ErrNoCandidate, wrapped) — or a closed
 // monitor; detection and update outcomes are reported through Stats.
+// Rejected input changes no monitor state.
 func (m *Monitor) Observe(rss []float64) error {
 	tr := m.d.cfg.tracer.Start("observe", m.d.cfg.site)
 	defer tr.Finish()
@@ -496,7 +499,14 @@ func (m *Monitor) Observe(rss []float64) error {
 		return fmt.Errorf("iupdater: measurement has %d links, deployment has %d", len(rss), m.res.Links())
 	}
 	sp := tr.StartSpan("residual")
-	r := m.res.ResidualAttributed(rss, m.scratch, m.perLink)
+	r, err := m.res.ResidualAttributed(rss, m.scratch, m.perLink)
+	if err != nil {
+		// A NaN, infinite or overflowing reading matches no column: it
+		// says nothing about staleness, so no state is touched.
+		sp.SetBool("error", true)
+		sp.End()
+		return fmt.Errorf("iupdater: drift residual: %w", err)
+	}
 	m.attr.Observe(m.perLink)
 	sp.SetFloat("residual_db", r)
 	sp.End()

@@ -1,12 +1,15 @@
 package iupdater
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"iupdater/internal/loc"
 	"iupdater/internal/trace"
 )
 
@@ -286,6 +289,38 @@ func TestMonitorObserveAllocBudget(t *testing.T) {
 		i++
 	}); allocs > 2 {
 		t.Errorf("Observe allocates %.1f per query in steady state, budget is 2", allocs)
+	}
+}
+
+// TestMonitorRejectsNonFiniteReadings: a NaN, an infinity or a reading
+// so large that every squared distance overflows matches no fingerprint
+// column. Observe must return an error — it used to index column -1
+// and panic — and leave the monitor's counters alone; Locate rejects a
+// NaN too.
+func TestMonitorRejectsNonFiniteReadings(t *testing.T) {
+	_, d, query := monitorFixture(t, 1)
+	m, err := NewMonitor(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Observe(query(0, time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(-1), 1e200} {
+		q := query(1, time.Hour)
+		q[2] = bad
+		if err := m.Observe(q); !errors.Is(err, loc.ErrNoCandidate) {
+			t.Errorf("reading %g: Observe error %v, want loc.ErrNoCandidate", bad, err)
+		}
+	}
+	if got := m.Stats().Queries; got != 1 {
+		t.Errorf("monitor counted %d queries, want 1 (rejected readings must not count)", got)
+	}
+	q := query(2, time.Hour)
+	q[0] = math.NaN()
+	if _, err := d.Locate(q); err == nil {
+		t.Error("Locate accepted a NaN reading")
 	}
 }
 

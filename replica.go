@@ -255,6 +255,9 @@ type Replica struct {
 	geo      Geometry
 	promoted *Deployment
 	closed   bool
+	// promoting is set while Promote stops the tailer; apply refuses
+	// every frame from then on.
+	promoting bool
 }
 
 // OpenReplica starts following a leader's records endpoint, e.g.
@@ -311,7 +314,7 @@ func (r *Replica) apply(version uint64, _ store.Kind, payload []byte) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed || r.promoted != nil {
+	if r.closed || r.promoting || r.promoted != nil {
 		return errors.New("replica is no longer following")
 	}
 	if !r.geoKnown {
@@ -498,27 +501,36 @@ func (r *Replica) storeRef() *Store { return r.cfg.store }
 // leader-election protocol.
 func (r *Replica) Promote(opts ...Option) (*Deployment, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.closed {
+		r.mu.Unlock()
 		return nil, errors.New("iupdater: Promote: replica is closed")
 	}
-	if r.promoted != nil {
+	if r.promoting || r.promoted != nil {
+		r.mu.Unlock()
 		return nil, errors.New("iupdater: Promote: replica is already promoted")
 	}
 	snap := r.snap.Load()
 	if snap == nil {
+		r.mu.Unlock()
 		return nil, errors.New("iupdater: Promote: replica has not applied a snapshot yet")
 	}
-	// Stop the tailer before constructing the writer so no late frame
-	// races the handover. apply also rechecks promoted under mu, but a
-	// stopped tailer makes the ordering obvious.
+	// From here apply refuses every frame, so snap is the takeover
+	// snapshot. Stop the tailer before constructing the writer so no
+	// late frame races the handover, and wait for it with mu released:
+	// an apply blocked on mu must get it, see promoting and return, or
+	// the tailer never exits.
+	r.promoting = true
+	r.mu.Unlock()
 	r.cancel()
 	<-r.done
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.cfg.store != nil {
 		opts = append([]Option{WithStore(r.cfg.store)}, opts...)
 	}
 	d, err := newDeploymentAt(snap.fp, r.geo, snap.version, opts...)
 	if err != nil {
+		r.promoting = false
 		return nil, err
 	}
 	r.promoted = d
